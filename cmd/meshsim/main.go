@@ -78,7 +78,7 @@ func main() {
 		configFile = flag.String("config", "", "load scenario from a JSON file (flags override its fields)")
 		dumpConfig = flag.String("dump-config", "", "write the effective scenario as JSON to this file and exit")
 		auditOn    = flag.Bool("audit", false, "run under the runtime invariant auditor (fails on any invariant violation)")
-		canonical  = flag.Bool("canonical-report", false, "zero the wall-clock fields of -report so the bytes are a pure function of the scenario (comparable against meshsimd-served reports)")
+		canonical  = flag.Bool("canonical-report", false, "zero the wall-clock fields of -report and drop its diagnostics so the bytes are a pure function of the scenario (comparable against meshsimd-served reports)")
 		version    = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()

@@ -52,6 +52,13 @@ func main() {
 		return
 	}
 
+	// Catch the shutdown signals before anything can be observed from
+	// outside: a supervisor that sees the listening line or a /healthz
+	// answer may signal at once, and a signal that arrived before Notify
+	// would kill the process with the default action instead of draining.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+
 	stopProf, err := profFlags.Start()
 	if err != nil {
 		log.Fatal(err)
@@ -87,8 +94,6 @@ func main() {
 	fmt.Printf("meshsimd listening on http://%s\n", ln.Addr())
 	log.Printf("%s", buildinfo.Get())
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-sigCh
 	log.Printf("received %s; draining (in-flight sweeps checkpoint, queue refuses new work)", sig)
 	go func() {

@@ -28,6 +28,58 @@ func buildDaemon(t *testing.T) string {
 	return bin
 }
 
+// startDaemon runs the binary on an ephemeral port and returns it with
+// its base URL, read from the first stdout line, and its stderr.
+func startDaemon(t *testing.T, bin string) (*exec.Cmd, string, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache-dir", t.TempDir())
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := new(bytes.Buffer)
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatalf("reading listen line: %v (stderr: %s)", err, stderr.String())
+	}
+	const prefix = "meshsimd listening on "
+	if !strings.HasPrefix(line, prefix) {
+		t.Fatalf("unexpected first line %q", line)
+	}
+	return cmd, strings.TrimSpace(strings.TrimPrefix(line, prefix)), stderr
+}
+
+// termAndWait sends SIGTERM and requires a drained exit with status 0.
+func termAndWait(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- cmd.Wait() }()
+	select {
+	case err := <-waitErr:
+		if err != nil {
+			t.Fatalf("daemon exited non-zero after SIGTERM: %v (stderr: %s)", err, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		<-waitErr
+		t.Fatalf("daemon did not exit within 30s of SIGTERM (stderr: %s)", stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "drained") {
+		t.Fatalf("drain log line missing from stderr: %s", stderr.String())
+	}
+}
+
 // TestDaemonServesAndDrainsOnSIGTERM is the end-to-end lifecycle test:
 // the real binary binds an ephemeral port, serves a run through the Go
 // client, then exits 0 on SIGTERM.
@@ -36,28 +88,7 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Skip("builds and runs the real binary")
 	}
 	bin := buildDaemon(t)
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache-dir", t.TempDir())
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The first stdout line carries the bound address.
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		t.Fatalf("reading listen line: %v (stderr: %s)", err, stderr.String())
-	}
-	const prefix = "meshsimd listening on "
-	if !strings.HasPrefix(line, prefix) {
-		t.Fatalf("unexpected first line %q", line)
-	}
-	url := strings.TrimSpace(strings.TrimPrefix(line, prefix))
+	cmd, url, stderr := startDaemon(t, bin)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -88,25 +119,25 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatalf("version: %+v, %v", info, err)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- cmd.Wait() }()
-	select {
-	case err := <-waitErr:
-		if err != nil {
-			t.Fatalf("daemon exited non-zero after SIGTERM: %v (stderr: %s)", err, stderr.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("daemon did not exit within 30s of SIGTERM (stderr: %s)", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "drained") {
-		t.Fatalf("drain log line missing from stderr: %s", stderr.String())
-	}
+	termAndWait(t, cmd, stderr)
 	// The HTTP port is gone.
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("daemon still serving after exit")
+	}
+}
+
+// TestDaemonDrainsOnImmediateSIGTERM sends SIGTERM the moment the
+// listening line is read. The signal handler is installed before the port
+// is bound, so even this earliest signal drains to exit 0 instead of
+// killing the process with the default action.
+func TestDaemonDrainsOnImmediateSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildDaemon(t)
+	for i := 0; i < 5; i++ {
+		cmd, _, stderr := startDaemon(t, bin)
+		termAndWait(t, cmd, stderr)
 	}
 }
 

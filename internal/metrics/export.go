@@ -81,8 +81,8 @@ func (c *Collector) WriteNDJSON(w io.Writer) error {
 // RunReport is the machine-readable summary of one instrumented run: the
 // scenario fingerprint, the run envelope (simulated vs wall time, DES
 // events), every registered counter, and the Result-derived metrics.
-// WallSeconds/SimPerWall are host measurements and therefore the only
-// non-deterministic fields; everything else is bit-reproducible.
+// WallSeconds/SimPerWall are host measurements and Diagnostics depend on
+// the engine's history; everything else is bit-reproducible.
 type RunReport struct {
 	Name        string `json:"name"`
 	Scheme      string `json:"scheme"`
@@ -104,7 +104,8 @@ type RunReport struct {
 	// Diagnostics are resource-behaviour counters (pool drops, free-list
 	// overflow, audible-set rebuilds) kept outside the deterministic
 	// Counters contract — on a warm engine their values depend on what the
-	// previous run left pooled.
+	// previous run left pooled, and some count over the engine's whole
+	// life. Canonical drops them.
 	Diagnostics map[string]uint64 `json:"diagnostics,omitempty"`
 
 	// Journey, when the run traced packet journeys, is the per-layer delay
@@ -112,15 +113,19 @@ type RunReport struct {
 	Journey *journey.Report `json:"journey,omitempty"`
 }
 
-// Canonical returns a copy with the host-measured fields (WallSeconds,
-// SimPerWall) zeroed — the rest of the report is bit-reproducible, so the
-// canonical form's WriteJSON bytes are a pure function of the scenario.
-// This is the form meshsimd caches and serves: it is what makes "a served
-// report equals a directly-run report, byte for byte" a testable contract,
-// and what lets a cache hit return the same bytes a cold run produced.
+// Canonical returns a copy with the fields outside the deterministic
+// contract zeroed: the host-measured WallSeconds and SimPerWall, and the
+// Diagnostics, whose values depend on the engine's history. The rest of
+// the report is bit-reproducible, so the canonical form's WriteJSON bytes
+// are a pure function of the scenario, whether a fresh or a warm engine
+// ran it. This is the form meshsimd caches and serves: it is what makes
+// "a served report equals a directly-run report, byte for byte" a
+// testable contract, and what lets a cache hit return the same bytes a
+// cold run produced.
 func (r RunReport) Canonical() RunReport {
 	r.WallSeconds = 0
 	r.SimPerWall = 0
+	r.Diagnostics = nil
 	return r
 }
 

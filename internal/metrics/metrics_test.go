@@ -188,6 +188,37 @@ func TestRunReportJSON(t *testing.T) {
 	}
 }
 
+// TestCanonicalDropsNonDeterministicFields pins what the canonical form
+// scrubs: the host-measured wall fields and the engine-history-dependent
+// diagnostics, and nothing else.
+func TestCanonicalDropsNonDeterministicFields(t *testing.T) {
+	rep := RunReport{
+		Name:        "canon",
+		SimSeconds:  5,
+		WallSeconds: 0.25,
+		SimPerWall:  20,
+		Counters:    map[string]uint64{"mac/retries": 5},
+		Diagnostics: map[string]uint64{"pkt/pool-drops": 7},
+	}
+	c := rep.Canonical()
+	if c.WallSeconds != 0 || c.SimPerWall != 0 || c.Diagnostics != nil {
+		t.Fatalf("canonical kept non-deterministic fields: %+v", c)
+	}
+	if c.SimSeconds != 5 || c.Counters["mac/retries"] != 5 {
+		t.Fatalf("canonical lost deterministic fields: %+v", c)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "diagnostics") {
+		t.Fatalf("canonical JSON carries diagnostics:\n%s", buf.String())
+	}
+	if rep.Diagnostics["pkt/pool-drops"] != 7 {
+		t.Fatal("Canonical modified its receiver")
+	}
+}
+
 func TestCountersOnlyCollector(t *testing.T) {
 	c := NewCollector(0)
 	c.Begin(5)

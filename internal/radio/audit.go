@@ -10,15 +10,13 @@ import (
 //
 //   - every per-radio dense slice has one entry per attached radio;
 //   - txing[id] agrees with txOf[id], and the in-flight count matches;
-//   - each in-flight transmission's back-indices are intact: touched,
-//     rxPower and liveAt are parallel, and liveAt[i] points at the
-//     matching liveArrival in lives[touched[i]];
-//   - each liveArrival points back at a transmission that is still in
-//     flight at its source, at the slot that points here;
+//   - each in-flight transmission's touched and rxPower are parallel and
+//     name only attached receivers;
+//   - nlive[rx] equals the number of in-flight transmissions touching rx,
+//     and energy[rx] their summed rxPower at rx (to float tolerance — the
+//     incremental add/subtract bookkeeping drifts by ulps, never by a
+//     term), both re-derived from the transmissions;
 //   - the locked-on arrival (current) references an in-flight frame;
-//   - energy[rx] equals the sum of live arrival powers (to float
-//     tolerance — the incremental add/subtract bookkeeping drifts by
-//     ulps, never by a term);
 //   - every audible set at the current epoch is ID-sorted, self-free,
 //     in range, and has parallel member slices.
 //
@@ -31,7 +29,7 @@ func (m *Medium) AuditCoherence() error {
 	}{
 		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"downs", len(m.downs)},
 		{"txing", len(m.txing)}, {"busys", len(m.busys)}, {"energy", len(m.energy)},
-		{"current", len(m.current)}, {"lives", len(m.lives)}, {"txOf", len(m.txOf)},
+		{"nlive", len(m.nlive)}, {"current", len(m.current)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {
@@ -40,6 +38,8 @@ func (m *Medium) AuditCoherence() error {
 	}
 
 	inFlight := 0
+	count := make([]int32, n)
+	sum := make([]float64, n)
 	for id := 0; id < n; id++ {
 		t := m.txOf[id]
 		if m.txing[id] != (t != nil) {
@@ -52,23 +52,16 @@ func (m *Medium) AuditCoherence() error {
 		if int(t.src) != id {
 			return fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
 		}
-		if len(t.touched) != len(t.rxPower) || len(t.touched) != len(t.liveAt) {
-			return fmt.Errorf("radio: audit: radio %d transmission slices not parallel (%d/%d/%d)",
-				id, len(t.touched), len(t.rxPower), len(t.liveAt))
+		if len(t.touched) != len(t.rxPower) {
+			return fmt.Errorf("radio: audit: radio %d transmission slices not parallel (%d/%d)",
+				id, len(t.touched), len(t.rxPower))
 		}
 		for i, rx := range t.touched {
 			if rx < 0 || int(rx) >= n {
 				return fmt.Errorf("radio: audit: radio %d touches out-of-range receiver %d", id, rx)
 			}
-			k := t.liveAt[i]
-			if k < 0 || int(k) >= len(m.lives[rx]) {
-				return fmt.Errorf("radio: audit: radio %d liveAt[%d]=%d outside lives[%d] (len %d)",
-					id, i, k, rx, len(m.lives[rx]))
-			}
-			la := m.lives[rx][k]
-			if la.t != t || la.ti != int32(i) || la.p != t.rxPower[i] {
-				return fmt.Errorf("radio: audit: radio %d back-index broken at receiver %d slot %d", id, rx, k)
-			}
+			count[rx]++
+			sum[rx] += t.rxPower[i]
 		}
 	}
 	if inFlight != m.txInFlight {
@@ -76,22 +69,12 @@ func (m *Medium) AuditCoherence() error {
 	}
 
 	for rx := 0; rx < n; rx++ {
-		sum := 0.0
-		for k, la := range m.lives[rx] {
-			if la.t == nil {
-				return fmt.Errorf("radio: audit: receiver %d live arrival %d has nil transmission", rx, k)
-			}
-			src := int(la.t.src)
-			if src < 0 || src >= n || m.txOf[src] != la.t {
-				return fmt.Errorf("radio: audit: receiver %d hears a transmission not in flight at source %d", rx, src)
-			}
-			if int(la.ti) >= len(la.t.touched) || la.t.touched[la.ti] != int32(rx) || la.t.liveAt[la.ti] != int32(k) {
-				return fmt.Errorf("radio: audit: receiver %d live arrival %d reverse back-index broken", rx, k)
-			}
-			sum += la.p
+		if m.nlive[rx] != count[rx] {
+			return fmt.Errorf("radio: audit: receiver %d counts %d live arrivals but %d in-flight transmissions touch it",
+				rx, m.nlive[rx], count[rx])
 		}
-		if diff := math.Abs(m.energy[rx] - sum); diff > 1e-6*sum+1e-18 {
-			return fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, m.energy[rx], sum)
+		if diff := math.Abs(m.energy[rx] - sum[rx]); diff > 1e-6*sum[rx]+1e-18 {
+			return fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, m.energy[rx], sum[rx])
 		}
 		if cur := m.current[rx].t; cur != nil {
 			src := int(cur.src)

@@ -72,11 +72,6 @@ type transmission struct {
 	// entry of touched (parallel slices; small, so slices beat maps).
 	touched []int32
 	rxPower []float64
-	// liveAt[i] is the current index of this transmission in
-	// lives[touched[i]], kept in sync by arrivalEnd's swap-delete so
-	// removal is O(1) instead of a scan (receivers in a flood can hold
-	// dozens of concurrent arrivals).
-	liveAt []int32
 }
 
 // opTxFinish is the Medium's only typed-event op: end of airtime for the
@@ -94,15 +89,6 @@ type arrival struct {
 	t         *transmission
 	power     float64
 	corrupted bool
-}
-
-// liveArrival is one ongoing foreign transmission audible at a radio.
-type liveArrival struct {
-	t *transmission
-	p float64
-	// ti is this radio's index in t.touched, so a swap-delete that moves
-	// this entry can update t.liveAt[ti] in O(1).
-	ti int32
 }
 
 // audibleSet is one transmitter's memoised receiver list: every radio that
@@ -217,14 +203,14 @@ type Medium struct {
 
 	// Dense per-radio state, indexed by radio ID (struct-of-arrays so the
 	// arrival hot loop touches contiguous memory only).
-	rfp       []Params  // immutable RF parameters, copied at Attach
-	chans     []int32   // current frequency channel
-	downs     []bool    // crashed (see SetDown)
-	txing     []bool    // own transmission in flight
-	busys     []bool    // last carrier state notified
-	energy    []float64 // aggregate power of ongoing foreign arrivals
-	current   []arrival // frame being received; current[i].t == nil if none
-	lives     [][]liveArrival
+	rfp       []Params        // immutable RF parameters, copied at Attach
+	chans     []int32         // current frequency channel
+	downs     []bool          // crashed (see SetDown)
+	txing     []bool          // own transmission in flight
+	busys     []bool          // last carrier state notified
+	energy    []float64       // aggregate power of ongoing foreign arrivals
+	nlive     []int32         // number of ongoing foreign arrivals
+	current   []arrival       // frame being received; current[i].t == nil if none
 	txOf      []*transmission // own transmission in flight (nil otherwise)
 	listeners []Listener
 	aud       []audibleSet
@@ -352,13 +338,9 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 		m.txing[i] = false
 		m.busys[i] = false
 		m.energy[i] = 0
+		m.nlive[i] = 0
 		m.current[i] = arrival{}
 		m.txOf[i] = nil
-		live := m.lives[i]
-		for j := range live {
-			live[j] = liveArrival{}
-		}
-		m.lives[i] = live[:0]
 	}
 }
 
@@ -378,8 +360,8 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	m.txing = append(m.txing, false)
 	m.busys = append(m.busys, false)
 	m.energy = append(m.energy, 0)
+	m.nlive = append(m.nlive, 0)
 	m.current = append(m.current, arrival{})
-	m.lives = append(m.lives, nil)
 	m.txOf = append(m.txOf, nil)
 	m.listeners = append(m.listeners, nil)
 	m.aud = append(m.aud, audibleSet{})
@@ -559,7 +541,6 @@ func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
 	t.touched = t.touched[:0]
 	t.rxPower = t.rxPower[:0]
-	t.liveAt = t.liveAt[:0]
 	if len(m.txPool) < m.txPoolCap {
 		m.txPool = append(m.txPool, t)
 	} else {
@@ -719,8 +700,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 			p := pows[i]
 			t.touched = append(t.touched, rid)
 			t.rxPower = append(t.rxPower, p)
-			t.liveAt = append(t.liveAt, int32(len(m.lives[rid])))
-			m.arrivalStart(int(rid), t, p, int32(len(t.touched)-1), refOK[i])
+			m.arrivalStart(int(rid), t, p, refOK[i])
 		}
 	} else {
 		// Indexed scan (memo off or fading channel) and exhaustive
@@ -744,8 +724,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 			}
 			t.touched = append(t.touched, int32(rid))
 			t.rxPower = append(t.rxPower, p)
-			t.liveAt = append(t.liveAt, int32(len(m.lives[rid])))
-			m.arrivalStart(rid, t, p, int32(len(t.touched)-1), p >= m.rfp[rid].RxThreshW)
+			m.arrivalStart(rid, t, p, p >= m.rfp[rid].RxThreshW)
 		}
 		if !m.reference && m.grid != nil {
 			m.candidates = candidates // hand the query buffer back for reuse
@@ -762,7 +741,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 // releases the sender and recycles t.
 func (m *Medium) finish(t *transmission) {
 	for i, rx := range t.touched {
-		m.arrivalEnd(int(rx), t, t.rxPower[i], t.liveAt[i])
+		m.arrivalEnd(int(rx), t, t.rxPower[i])
 	}
 	src := int(t.src)
 	payload := t.payload
@@ -776,12 +755,11 @@ func (m *Medium) finish(t *transmission) {
 }
 
 // arrivalStart registers an incoming frame at receiver rx and decides
-// whether to lock onto it or treat it as interference. ti is rx's index
-// in t.touched (the caller just appended it). refOK is the precomputed
-// reference-rate decode test p >= RxThreshW — consulted only when
-// snrScale == 1, where it is bit-equal to the live comparison.
-func (m *Medium) arrivalStart(rx int, t *transmission, p float64, ti int32, refOK bool) {
-	m.lives[rx] = append(m.lives[rx], liveArrival{t, p, ti})
+// whether to lock onto it or treat it as interference. refOK is the
+// precomputed reference-rate decode test p >= RxThreshW — consulted only
+// when snrScale == 1, where it is bit-equal to the live comparison.
+func (m *Medium) arrivalStart(rx int, t *transmission, p float64, refOK bool) {
+	m.nlive[rx]++
 	e := m.energy[rx] + p
 	m.energy[rx] = e
 
@@ -819,19 +797,10 @@ func (m *Medium) arrivalStart(rx int, t *transmission, p float64, ti int32, refO
 }
 
 // arrivalEnd removes the frame's energy at receiver rx and, if it was the
-// locked frame, delivers it upward. pos is the frame's index in lives[rx]
-// (tracked by the transmission's liveAt, so no scan is needed).
-func (m *Medium) arrivalEnd(rx int, t *transmission, p float64, pos int32) {
-	live := m.lives[rx]
-	last := len(live) - 1
-	if int(pos) != last {
-		moved := live[last]
-		live[pos] = moved
-		moved.t.liveAt[moved.ti] = pos
-	}
-	live[last] = liveArrival{}
-	m.lives[rx] = live[:last]
-	if last == 0 {
+// locked frame, delivers it upward.
+func (m *Medium) arrivalEnd(rx int, t *transmission, p float64) {
+	m.nlive[rx]--
+	if m.nlive[rx] == 0 {
 		m.energy[rx] = 0 // clamp accumulated floating-point drift
 	} else {
 		e := m.energy[rx] - p

@@ -516,3 +516,31 @@ func TestSetChannelWhileTransmittingPanics(t *testing.T) {
 	})
 	sim.Run()
 }
+
+// TestAuditCoherenceRederivesLiveState checks that the auditor re-derives
+// each receiver's live-arrival count and energy from the in-flight
+// transmissions: a clean mid-flight medium passes, and a skewed count or
+// energy at one receiver is reported.
+func TestAuditCoherenceRederivesLiveState(t *testing.T) {
+	p := DefaultParams()
+	_, m, radios, _ := testbed(p, geom.Point{}, geom.Point{X: 100}, geom.Point{X: 200})
+	radios[0].Transmit("a", 100, des.Millisecond)
+	radios[2].Transmit("b", 100, des.Millisecond)
+	if err := m.AuditCoherence(); err != nil {
+		t.Fatalf("clean medium: %v", err)
+	}
+	if m.nlive[1] != 2 {
+		t.Fatalf("middle receiver counts %d live arrivals, want 2", m.nlive[1])
+	}
+
+	m.nlive[1]++
+	if err := m.AuditCoherence(); err == nil {
+		t.Error("skewed live-arrival count not reported")
+	}
+	m.nlive[1]--
+
+	m.energy[1] += m.energy[1] / 2
+	if err := m.AuditCoherence(); err == nil {
+		t.Error("skewed energy not reported")
+	}
+}

@@ -44,6 +44,9 @@ type DupCache struct {
 	rings   []dupRing
 	// reapAt is the next time a full sweep is worthwhile.
 	reapAt des.Time
+	// occupied counts non-empty slots (exp != 0), so Len — read by the
+	// flight recorder for every node on every tick — needs no scan.
+	occupied int
 }
 
 // NewDupCache creates a cache whose entries live for horizon.
@@ -61,6 +64,7 @@ func (d *DupCache) Reset(horizon des.Time) {
 	for i := range d.rings {
 		d.rings[i] = dupRing{}
 	}
+	d.occupied = 0
 	d.reapAt = d.sim.Now() + horizon
 }
 
@@ -95,7 +99,11 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 		slot = int(r.next)
 		r.next = (r.next + 1) % dupRingSize
 	}
-	r.ent[slot] = dupEntry{id: id, exp: now + d.horizon}
+	exp := now + d.horizon
+	if r.ent[slot].exp == 0 && exp != 0 {
+		d.occupied++
+	}
+	r.ent[slot] = dupEntry{id: id, exp: exp}
 	return false
 }
 
@@ -113,23 +121,14 @@ func (d *DupCache) sweep(now des.Time) {
 	for i := range d.rings {
 		r := &d.rings[i]
 		for j := range r.ent {
-			if r.ent[j].exp <= now {
+			if e := r.ent[j].exp; e != 0 && e <= now {
 				r.ent[j] = dupEntry{}
+				d.occupied--
 			}
 		}
 	}
 }
 
 // Len returns the number of occupied slots (including not-yet-reaped
-// expired ones); exposed for tests.
-func (d *DupCache) Len() int {
-	n := 0
-	for i := range d.rings {
-		for _, e := range d.rings[i].ent {
-			if e.exp != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+// expired ones) in O(1).
+func (d *DupCache) Len() int { return d.occupied }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -235,5 +236,25 @@ func TestCacheRejectsUnsafeKeys(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Fatalf("unsafe key produced a disk file: %s", e.Name())
+	}
+}
+
+// TestKeyFormatSeparatesOldEntries pins the key format bump: a job's key
+// is not the key the same job had before the format field existed, so a
+// disk tier written by an older daemon (whose run reports still carried
+// diagnostics) is never served.
+func TestKeyFormatSeparatesOldEntries(t *testing.T) {
+	m := keyMaterial{Kind: "run", Fingerprint: "0123456789abcdef", SampleInterval: 100e6}
+	old, err := json.Marshal(struct {
+		Kind           string `json:"kind"`
+		Fingerprint    string `json:"fingerprint"`
+		SampleInterval int64  `json:"sample_interval,omitempty"`
+	}{m.Kind, m.Fingerprint, int64(m.SampleInterval)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(old)
+	if m.hash() == hex.EncodeToString(sum[:]) {
+		t.Fatal("current key equals the pre-format key")
 	}
 }

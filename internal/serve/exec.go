@@ -13,22 +13,42 @@ import (
 	"clnlr/internal/sim"
 )
 
+// runner is one worker goroutine's warm run state: an engine and a
+// metrics collector that every /v1/run job of that worker reuses. Both reset in
+// place between runs, and a warm run is bit-identical to a cold one (the
+// golden suite pins this), so reuse changes no served byte while sparing
+// each cold request the network build and its allocation storm. A runner
+// belongs to exactly one worker and is never shared.
+type runner struct {
+	eng *sim.Engine
+	col *metrics.Collector
+}
+
 // executeRun mirrors the meshsim -report -canonical-report path exactly —
 // same collector, same journey fold, same Canonical() scrub, same
 // WriteJSON serialisation — so a served single-run result is byte-identical
-// to the CLI's output for the same scenario. The golden equivalence test
-// pins this.
-func executeRun(j runJob) ([]byte, error) {
-	col := metrics.NewCollector(j.interval)
+// to the CLI's output for the same scenario. The golden equivalence tests
+// pin this, warm engines included.
+func (w *runner) executeRun(j runJob) ([]byte, error) {
+	if w.eng == nil {
+		w.eng = sim.NewEngine()
+	}
+	if w.col == nil || w.col.SampleInterval() != j.interval {
+		w.col = metrics.NewCollector(j.interval)
+	}
 	var rec *journey.Recorder
 	if j.journeyN > 0 {
 		rec = journey.NewRecorder(j.journeyN, true)
 	}
-	r, err := sim.RunJourney(j.sc, nil, col, rec)
+	r, err := w.eng.RunJourney(j.sc, nil, w.col, rec)
 	if err != nil {
+		// A run can fail after the network was reset and events were
+		// scheduled; rather than rely on the next reset to clear a
+		// half-started run, the next job starts from a fresh engine.
+		w.eng = nil
 		return nil, err
 	}
-	rep := sim.BuildReport(j.sc, r, col)
+	rep := sim.BuildReport(j.sc, r, w.col)
 	if rec != nil {
 		agg := journey.NewAgg(rec.EveryN())
 		rec.Aggregate(agg)

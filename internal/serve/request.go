@@ -167,6 +167,10 @@ func (j sweepJob) cells() []experiments.CellSpec {
 // Forgetting one would be a silent cache-collision bug: two different
 // computations sharing one cache slot.
 type keyMaterial struct {
+	// Format is the served-bytes format version, set by hash. Bumping it
+	// whenever the bytes for unchanged key material change keeps a disk
+	// tier written by an older daemon from serving stale bytes.
+	Format         int      `json:"format"`
 	Kind           string   `json:"kind"`
 	Fingerprint    string   `json:"fingerprint"`
 	SampleInterval des.Time `json:"sample_interval,omitempty"`
@@ -179,9 +183,14 @@ type keyMaterial struct {
 	Name string `json:"name,omitempty"`
 }
 
+// keyFormat is the current served-bytes format. Format 2: run reports
+// carry no diagnostics (RunReport.Canonical drops them).
+const keyFormat = 2
+
 // hash derives the content address: SHA-256 over the canonical JSON of
-// the key material.
+// the key material at the current format.
 func (m keyMaterial) hash() string {
+	m.Format = keyFormat
 	b, err := json.Marshal(m)
 	if err != nil {
 		// keyMaterial is a plain data struct; Marshal cannot fail on it.

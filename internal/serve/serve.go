@@ -125,7 +125,8 @@ type job struct {
 	kind string
 	prog *metrics.Progress // sweep jobs only
 
-	exec func(*job) ([]byte, error)
+	// exec runs the job on the executing worker's runner.
+	exec func(*job, *runner) ([]byte, error)
 
 	// state/result/err are guarded by Server.mu; done is closed after
 	// they are final.
@@ -231,14 +232,17 @@ func (s *Server) Shutdown(ctx interface{ Done() <-chan struct{} }) error {
 	}
 }
 
+// worker drains the queue. It owns one runner for its whole life, so each
+// single-run job it executes lands on its warm engine.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var w runner
 	for j := range s.queue {
-		s.runJob(j)
+		s.runJob(j, &w)
 	}
 }
 
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(j *job, w *runner) {
 	s.mu.Lock()
 	j.state = jobRunning
 	s.mu.Unlock()
@@ -246,12 +250,12 @@ func (s *Server) runJob(j *job) {
 	data, ok := s.cache.Get(j.key)
 	var err error
 	if !ok {
-		run := j.exec
-		if s.runHook != nil {
-			run = s.runHook
-		}
 		s.engineRuns.Add(1)
-		data, err = run(j)
+		if s.runHook != nil {
+			data, err = s.runHook(j)
+		} else {
+			data, err = j.exec(j, w)
+		}
 		if err == nil {
 			s.cache.Put(j.key, data)
 		}
@@ -329,7 +333,7 @@ const (
 
 // admit implements singleflight + queue admission under one lock: join an
 // existing job for the key, or enqueue a new one, or shed.
-func (s *Server) admit(kind, key string, prog *metrics.Progress, exec func(*job) ([]byte, error)) (*job, admitStatus) {
+func (s *Server) admit(kind, key string, prog *metrics.Progress, exec func(*job, *runner) ([]byte, error)) (*job, admitStatus) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A retained failed job is terminal history, not joinable work: a
@@ -381,7 +385,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // submit is the shared synchronous-submission path: cache, singleflight,
 // admission, then wait (or return 202 under ?async=1).
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, prog *metrics.Progress, exec func(*job) ([]byte, error)) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, prog *metrics.Progress, exec func(*job, *runner) ([]byte, error)) {
 	if data, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
 		writeResult(w, key, data, "hit")
@@ -433,8 +437,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.submit(w, r, "run", rj.key(), nil, func(*job) ([]byte, error) {
-		return executeRun(rj)
+	s.submit(w, r, "run", rj.key(), nil, func(_ *job, w *runner) ([]byte, error) {
+		return w.executeRun(rj)
 	})
 }
 
@@ -449,7 +453,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := sj.key()
-	s.submit(w, r, "sweep", key, metrics.NewProgress(), func(j *job) ([]byte, error) {
+	s.submit(w, r, "sweep", key, metrics.NewProgress(), func(j *job, _ *runner) ([]byte, error) {
 		return s.executeSweep(sj, key, j.prog)
 	})
 }

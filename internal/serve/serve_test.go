@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"clnlr/internal/des"
+	"clnlr/internal/fault"
 	"clnlr/internal/journey"
 	"clnlr/internal/metrics"
 	"clnlr/internal/sim"
@@ -78,10 +79,17 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 }
 
 // directRunBytes reproduces the meshsim -report -canonical-report output
-// for sc — the reference the daemon must match byte for byte.
+// for sc on a fresh engine at the default 100 ms sample interval — the
+// reference the daemon must match byte for byte.
 func directRunBytes(t *testing.T, sc sim.Scenario, journeyN int) []byte {
 	t.Helper()
-	col := metrics.NewCollector(des.Time(100 * time.Millisecond))
+	return directRunBytesAt(t, sc, des.Time(100*time.Millisecond), journeyN)
+}
+
+// directRunBytesAt is directRunBytes at an explicit sample interval.
+func directRunBytesAt(t *testing.T, sc sim.Scenario, interval des.Time, journeyN int) []byte {
+	t.Helper()
+	col := metrics.NewCollector(interval)
 	var rec *journey.Recorder
 	if journeyN > 0 {
 		rec = journey.NewRecorder(journeyN, true)
@@ -133,6 +141,95 @@ func TestServedRunMatchesDirectBytes(t *testing.T) {
 	st := srv.Stats()
 	if st.EngineRuns != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 engine run, 1 hit, 1 miss", st)
+	}
+}
+
+// TestWarmWorkerServesFreshEngineBytes pins the warm-worker contract: one
+// worker serves a varied sequence of cold runs on its one reused engine —
+// node counts, schemes, mobility, faults, journeys on and off, two sample
+// intervals, and a failing run in the middle — and every body is
+// byte-identical to a direct run of the same request on a fresh engine.
+func TestWarmWorkerServesFreshEngineBytes(t *testing.T) {
+	const ivlA, ivlB = des.Time(100 * time.Millisecond), des.Time(250 * time.Millisecond)
+	type step struct {
+		sc       sim.Scenario
+		interval des.Time
+		journeyN int
+		fails    bool
+	}
+	sized := func(seed uint64, scheme sim.Scheme, n int) sim.Scenario {
+		sc := testScenario(seed).WithScheme(scheme)
+		sc.Rows, sc.Cols = n, n
+		sc.AreaM = float64(n) * 1000.0 / 7
+		return sc
+	}
+	mobile := sized(33, sim.SchemeGossip, 5)
+	mobile.MobilitySpeed = 10
+	faulty := sized(34, sim.SchemeCounter, 5)
+	faulty.Faults.MeanUpTime = 2 * des.Second
+	faulty.Faults.MeanDownTime = des.Second
+	faulty.Faults.Link = fault.LinkParams{MeanGood: des.Second, MeanBad: 200 * des.Millisecond, LossBad: 0.5}
+	// No endpoint pair of a 4×4 grid is 30 hops apart: the run fails
+	// after the network was reset and started.
+	unreachable := sized(35, sim.SchemeFlood, 4)
+	unreachable.MinHopDist = 30
+	both := faulty
+	both.Seed = 37
+	both.Scheme = sim.SchemeCLNLR
+	both.MobilitySpeed = 5
+
+	steps := []step{
+		{sc: sized(30, sim.SchemeCLNLR, 4), interval: ivlA},
+		{sc: sized(31, sim.SchemeFlood, 4), interval: ivlA, journeyN: 2},
+		{sc: mobile, interval: ivlB},
+		{sc: faulty, interval: ivlB, journeyN: 1},
+		{sc: unreachable, interval: ivlB, fails: true},
+		{sc: sized(36, sim.SchemeGossipAdaptive, 4), interval: ivlB},
+		{sc: both, interval: ivlA, journeyN: 1},
+		{sc: sized(38, sim.SchemeCLNLR2, 3), interval: ivlA},
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	for i, st := range steps {
+		req := RunRequest{Scenario: scenarioJSON(t, st.sc), SampleInterval: st.interval, JourneyEveryN: st.journeyN}
+		resp, got := post(t, ts, "/v1/run", req)
+		if st.fails {
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("step %d: failing run answered %d: %s", i, resp.StatusCode, got)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("step %d: status %d, X-Cache %q: %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), got)
+		}
+		if want := directRunBytesAt(t, st.sc, st.interval, st.journeyN); !bytes.Equal(got, want) {
+			t.Fatalf("step %d (%s, %d nodes): served bytes differ from a fresh-engine run", i, st.sc.Scheme, st.sc.NodeCount())
+		}
+	}
+	if st := srv.Stats(); st.EngineRuns != uint64(len(steps)) || st.JobsFailed != 1 {
+		t.Fatalf("stats = %+v, want %d engine runs and 1 failure", st, len(steps))
+	}
+}
+
+// TestRunnerDropsEngineOnError pins the failure rule: a run that returns
+// an error leaves the runner without an engine, so the next job builds a
+// fresh one; a successful run keeps it.
+func TestRunnerDropsEngineOnError(t *testing.T) {
+	var w runner
+	good := runJob{sc: testScenario(40), interval: des.Time(100 * time.Millisecond)}
+	if _, err := w.executeRun(good); err != nil {
+		t.Fatal(err)
+	}
+	if w.eng == nil {
+		t.Fatal("successful run dropped the engine")
+	}
+	bad := good
+	bad.sc.MinHopDist = 30
+	if _, err := w.executeRun(bad); err == nil {
+		t.Fatal("unreachable endpoints did not fail the run")
+	}
+	if w.eng != nil {
+		t.Fatal("failed run kept its engine")
 	}
 }
 
