@@ -28,6 +28,12 @@ import (
 // carry a SHA-256 header; a corrupt or truncated file is deleted and
 // treated as a miss, so the worst a damaged cache directory can cause is
 // one recomputation.
+//
+// Which keys are on disk, and in what recency order, is held in memory:
+// the index is seeded once from the directory by NewCache and kept current
+// by every disk put, hit and reject, so neither a put nor a miss lists or
+// probes the directory. One daemon owns one cache directory; files another
+// process adds are seen at the next start.
 type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
@@ -38,8 +44,17 @@ type Cache struct {
 
 	dir string // "" = memory-only
 
-	evictions   atomic.Uint64
-	diskRejects atomic.Uint64
+	// Disk index, guarded by dmu. dll holds keys, front = most recently
+	// used; every indexed key has an entry file whose mtime is stamp-
+	// ordered the same way, so the order survives a restart.
+	dmu       sync.Mutex
+	dll       *list.List
+	ditems    map[string]*list.Element
+	lastStamp int64 // newest mtime handed out (UnixNano)
+
+	evictions       atomic.Uint64
+	diskRejects     atomic.Uint64
+	diskWriteErrors atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -50,23 +65,31 @@ type cacheEntry struct {
 // NewCache returns a cache bounded by maxBytes and maxEntries (both must
 // be positive) with an optional disk tier rooted at dir (created if
 // missing; "" disables it). The same caps bound the disk tier's entry
-// count.
+// count. Opening a disk tier scans dir once: entries are indexed oldest
+// mtime first, leftovers of a put cut short between write and rename are
+// deleted, and entries beyond the cap are pruned.
 func NewCache(dir string, maxBytes int64, maxEntries int) (*Cache, error) {
 	if maxBytes <= 0 || maxEntries <= 0 {
 		return nil, fmt.Errorf("serve: cache caps must be positive (bytes=%d entries=%d)", maxBytes, maxEntries)
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: cache dir: %w", err)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		maxBytes:   maxBytes,
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
 		dir:        dir,
-	}, nil
+		dll:        list.New(),
+		ditems:     make(map[string]*list.Element),
+	}
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("serve: cache dir: %w", err)
+		}
+		if err := c.seedDiskIndex(); err != nil {
+			return nil, fmt.Errorf("serve: cache dir: %w", err)
+		}
+	}
+	return c, nil
 }
 
 // Get returns the cached bytes for key. A memory miss consults the disk
@@ -89,8 +112,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Contains reports whether key is present in either tier without reading
-// or promoting the entry (the disk check is existence-only; a corrupt file
-// will be caught by the Get that follows).
+// or promoting the entry (the disk check consults only the index; a
+// missing or corrupt file is caught by the Get that follows).
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	_, ok := c.items[key]
@@ -98,11 +121,10 @@ func (c *Cache) Contains(key string) bool {
 	if ok {
 		return true
 	}
-	if c.dir == "" || !safeKey(key) {
-		return false
-	}
-	_, err := os.Stat(c.diskPath(key))
-	return err == nil
+	c.dmu.Lock()
+	_, ok = c.ditems[key]
+	c.dmu.Unlock()
+	return ok
 }
 
 // Put stores the bytes under key in both tiers.
@@ -167,6 +189,18 @@ func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 // discarded.
 func (c *Cache) DiskRejects() uint64 { return c.diskRejects.Load() }
 
+// DiskLen returns how many entries the disk tier indexes (0 when there is
+// no disk tier).
+func (c *Cache) DiskLen() int {
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	return c.dll.Len()
+}
+
+// DiskWriteErrors returns how many puts failed to publish their disk entry
+// (the entry was still served, and cached, in memory).
+func (c *Cache) DiskWriteErrors() uint64 { return c.diskWriteErrors.Load() }
+
 // Disk tier. Entry format: one header line
 //
 //	meshsimdcache1 <sha256 hex> <payload length>\n
@@ -190,8 +224,63 @@ func safeKey(key string) bool {
 	return true
 }
 
+const (
+	entrySuffix = ".entry"
+	tmpSuffix   = entrySuffix + ".tmp"
+)
+
 func (c *Cache) diskPath(key string) string {
-	return filepath.Join(c.dir, key+".entry")
+	return filepath.Join(c.dir, key+entrySuffix)
+}
+
+// seedDiskIndex builds the disk index from one scan of the cache
+// directory, oldest mtime first (ties by name), so the least-recently-used
+// order of the previous process survives the restart.
+func (c *Cache) seedDiskIndex() error {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return err
+	}
+	type aged struct {
+		key string
+		mod int64
+	}
+	var files []aged
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		if key, ok := strings.CutSuffix(name, tmpSuffix); ok && safeKey(key) {
+			// A put cut short between write and rename; never indexed. A
+			// failed removal is retried at the next open.
+			_ = os.Remove(filepath.Join(c.dir, name))
+			continue
+		}
+		key, ok := strings.CutSuffix(name, entrySuffix)
+		if !ok || !safeKey(key) {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		files = append(files, aged{key, info.ModTime().UnixNano()})
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].mod != files[j].mod {
+			return files[i].mod < files[j].mod
+		}
+		return files[i].key < files[j].key
+	})
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	for _, f := range files {
+		c.ditems[f.key] = c.dll.PushFront(f.key)
+		c.lastStamp = max(c.lastStamp, f.mod)
+	}
+	c.pruneDiskLocked()
+	return nil
 }
 
 func (c *Cache) diskPut(key string, data []byte) {
@@ -205,36 +294,89 @@ func (c *Cache) diskPut(key string, data []byte) {
 	// Atomic publish: a reader (or a crash) never observes a half-written
 	// entry without the checksum catching it, but rename makes even the
 	// benign torn-file window impossible.
-	tmp := c.diskPath(key) + ".tmp"
+	path := c.diskPath(key)
+	tmp := filepath.Join(c.dir, key+tmpSuffix)
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+		_ = os.Remove(tmp) // a leftover is swept at the next open
+		c.diskWriteErrors.Add(1)
 		return
 	}
-	if os.Rename(tmp, c.diskPath(key)) != nil {
-		os.Remove(tmp)
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	if os.Rename(tmp, path) != nil {
+		_ = os.Remove(tmp) // a leftover is swept at the next open
+		c.diskWriteErrors.Add(1)
 		return
 	}
-	c.diskPrune()
+	if el, ok := c.ditems[key]; ok {
+		c.dll.MoveToFront(el)
+	} else {
+		c.ditems[key] = c.dll.PushFront(key)
+	}
+	c.touchLocked(path)
+	c.pruneDiskLocked()
 }
 
+// touchLocked stamps the entry file at path with an mtime newer than any
+// stamp before it, so the mtime order of the files is the index's recency
+// order even when the filesystem clock is coarser than the put rate.
+func (c *Cache) touchLocked(path string) {
+	c.lastStamp = max(time.Now().UnixNano(), c.lastStamp+1)
+	t := time.Unix(0, c.lastStamp)
+	// A failed stamp costs only recency accuracy at the next start.
+	_ = os.Chtimes(path, t, t)
+}
+
+// pruneDiskLocked removes least-recently-used entries until the disk tier
+// is within the entry cap.
+func (c *Cache) pruneDiskLocked() {
+	for c.dll.Len() > c.maxEntries {
+		c.dropDiskLocked(c.dll.Back().Value.(string))
+	}
+}
+
+// dropDiskLocked removes key from the index and its file from disk, so the
+// two never disagree about an entry the cache has given up on.
+func (c *Cache) dropDiskLocked(key string) {
+	if el, ok := c.ditems[key]; ok {
+		c.dll.Remove(el)
+		delete(c.ditems, key)
+	}
+	// The file may already be gone; one that cannot be removed is seen,
+	// and pruned or served, at the next open.
+	_ = os.Remove(c.diskPath(key))
+}
+
+// diskGet reads an indexed entry. A key the index does not hold is a miss
+// without touching the filesystem; an indexed file that is gone or fails
+// its checksum is dropped and served as a miss.
 func (c *Cache) diskGet(key string) ([]byte, bool) {
-	if c.dir == "" || !safeKey(key) {
+	c.dmu.Lock()
+	_, ok := c.ditems[key]
+	c.dmu.Unlock()
+	if !ok {
 		return nil, false
 	}
 	raw, err := os.ReadFile(c.diskPath(key))
-	if err != nil {
+	var data []byte
+	valid := false
+	if err == nil {
+		if data, valid = decodeDiskEntry(raw); !valid {
+			c.diskRejects.Add(1)
+		}
+	}
+	c.dmu.Lock()
+	defer c.dmu.Unlock()
+	if !valid {
+		c.dropDiskLocked(key)
 		return nil, false
 	}
-	data, ok := decodeDiskEntry(raw)
-	if !ok {
-		c.diskRejects.Add(1)
-		os.Remove(c.diskPath(key))
-		return nil, false
+	// Refresh the entry unless a concurrent put pruned it meanwhile. The
+	// mtime touch keeps the order the next start seeds least-recently-read.
+	if el, indexed := c.ditems[key]; indexed {
+		c.dll.MoveToFront(el)
+		c.touchLocked(c.diskPath(key))
 	}
-	// Touch the entry so diskPrune's mtime ordering is true LRU — without
-	// this, eviction would be write-order FIFO and frequently-hit entries
-	// would be pruned before cold ones.
-	now := time.Now()
-	os.Chtimes(c.diskPath(key), now, now)
 	return data, true
 }
 
@@ -267,36 +409,4 @@ func decodeDiskEntry(raw []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// diskPrune drops the oldest disk entries beyond the entry cap (by
-// modification time). Puts are rare — one per never-seen scenario — so the
-// directory scan is cheap relative to the simulation that preceded it.
-func (c *Cache) diskPrune() {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		name string
-		mod  int64
-	}
-	var files []aged
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".entry") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{e.Name(), info.ModTime().UnixNano()})
-	}
-	if len(files) <= c.maxEntries {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	for _, f := range files[:len(files)-c.maxEntries] {
-		os.Remove(filepath.Join(c.dir, f.name))
-	}
 }

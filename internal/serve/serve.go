@@ -477,6 +477,10 @@ type Stats struct {
 	CacheBytes     int64  `json:"cache_bytes"`
 	CacheEvictions uint64 `json:"cache_evictions"`
 	DiskRejects    uint64 `json:"cache_disk_rejects"`
+	// DiskEntries is the disk tier's indexed entry count; DiskWriteErrors
+	// counts puts whose entry file could not be written or published.
+	DiskEntries     int    `json:"cache_disk_entries"`
+	DiskWriteErrors uint64 `json:"cache_disk_write_errors"`
 }
 
 // Stats returns a point-in-time counter snapshot.
@@ -499,6 +503,9 @@ func (s *Server) Stats() Stats {
 		CacheBytes:     s.cache.Bytes(),
 		CacheEvictions: s.cache.Evictions(),
 		DiskRejects:    s.cache.DiskRejects(),
+
+		DiskEntries:     s.cache.DiskLen(),
+		DiskWriteErrors: s.cache.DiskWriteErrors(),
 	}
 }
 

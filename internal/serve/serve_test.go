@@ -440,8 +440,10 @@ func TestServedSweepSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("restarted daemon served different bytes")
 	}
-	if srv2.Stats().EngineRuns != 0 {
+	if st := srv2.Stats(); st.EngineRuns != 0 {
 		t.Fatal("restarted daemon re-ran a cached sweep")
+	} else if st.DiskEntries != 1 || st.DiskWriteErrors != 0 {
+		t.Fatalf("restarted daemon's disk tier: %d entries, %d write errors; want 1, 0", st.DiskEntries, st.DiskWriteErrors)
 	}
 }
 
