@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the full pre-merge gate: build,
 # vet, every test, the race detector over the concurrency-bearing packages,
-# and a one-iteration smoke of the benchmark suite.
+# and one iteration of every benchmark in the module.
 
 GO ?= go
 
@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./internal/sim ./internal/des ./internal/experiments ./internal/metrics ./internal/serve
 
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime 1x .
+	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
 # oracle and the radio-path differential oracle (go test allows one -fuzz

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,14 +51,43 @@ func diffBed(tier mediumTier) (*des.Sim, *Medium, []*Radio, []*recorder) {
 	return sim, m, radios, recs
 }
 
+// rxState is one radio's receiver state as the tiers must agree on it.
+// Listener logs only show energy once it flips a carrier; comparing the
+// bits after every op catches a drift before it does.
+type rxState struct {
+	energy uint64 // math.Float64bits of the summed arrival power
+	nlive  int32
+	busy   bool
+	locked int32 // source of the locked-on transmission, -1 if none
+}
+
+// rxStates snapshots every attached radio's receiver state.
+func rxStates(m *Medium) []rxState {
+	st := make([]rxState, m.NumRadios())
+	for i := range st {
+		st[i] = rxState{
+			energy: math.Float64bits(m.energy[i]),
+			nlive:  m.nlive[i],
+			busy:   m.busys[i],
+			locked: -1,
+		}
+		if t := m.current[i].t; t != nil {
+			st[i].locked = t.src
+		}
+	}
+	return st
+}
+
 // runOps replays ops on a diffBed medium of the given tier and returns
-// the medium and all listener logs (base radios plus any attached extras,
-// in attach order).
-func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
+// the medium, all listener logs (base radios plus any attached extras,
+// in attach order) and the receiver states recorded after each op.
+func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder, [][]rxState) {
 	sim, m, radios, recs := diffBed(tier)
+	states := make([][]rxState, len(ops))
 	for i, op := range ops {
-		op := op
+		i, op := i, op
 		sim.At(des.Time(i+1)*opStride, func() {
+			defer func() { states[i] = rxStates(m) }()
 			n := m.NumRadios()
 			if op.kind == 4 {
 				// Attach a newcomer mid-run at a spot derived from arg.
@@ -94,16 +124,17 @@ func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
 		})
 	}
 	sim.Run()
-	return m, recs
+	return m, recs, states
 }
 
 // compareTiers replays ops on all three tiers and fails the test unless
-// every listener log and validation counter is bit-identical.
+// every listener log, every receiver state after every op and every
+// validation counter is bit-identical.
 func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 	t.Helper()
-	memo, memoRecs := runOps(tierMemo, ops)
-	legacy, legacyRecs := runOps(tierLegacy, ops)
-	ref, refRecs := runOps(tierReference, ops)
+	memo, memoRecs, memoStates := runOps(tierMemo, ops)
+	legacy, legacyRecs, legacyStates := runOps(tierLegacy, ops)
+	ref, refRecs, refStates := runOps(tierReference, ops)
 	for name, got := range map[string][]*recorder{"legacy": legacyRecs, "reference": refRecs} {
 		if len(got) != len(memoRecs) {
 			t.Fatalf("%s tier attached %d radios, memo %d", name, len(got), len(memoRecs))
@@ -112,6 +143,14 @@ func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 			if !reflect.DeepEqual(memoRecs[i], got[i]) {
 				t.Fatalf("radio %d logs diverge (memo vs %s):\n  memo %+v\n  %s  %+v",
 					i, name, memoRecs[i], name, got[i])
+			}
+		}
+	}
+	for name, got := range map[string][][]rxState{"legacy": legacyStates, "reference": refStates} {
+		for op := range memoStates {
+			if !reflect.DeepEqual(memoStates[op], got[op]) {
+				t.Fatalf("receiver state after op %d (%+v) diverges (memo vs %s):\n  memo %+v\n  %s  %+v",
+					op, ops[op], name, memoStates[op], name, got[op])
 			}
 		}
 	}
@@ -241,6 +280,44 @@ func TestAudibleSetExcludesWrongChannelAndWeak(t *testing.T) {
 		}
 		if ok := a.power[i] >= DefaultParams().RxThreshW; ok != a.refOK[i] {
 			t.Fatalf("refOK[%d]=%v inconsistent with power %g", i, a.refOK[i], a.power[i])
+		}
+	}
+}
+
+// TestResetClearsDownCount crashes two radios, resets the medium without
+// recovering them and transmits. A down count that survived Reset would
+// change no result: it would only turn the bulk copy of audible sets off
+// for every later warm run. So the count and the touched set are checked
+// directly, and the listener logs must equal a fresh medium's.
+func TestResetClearsDownCount(t *testing.T) {
+	run := func(warm bool) []*recorder {
+		sim, m, radios, recs := diffBed(tierMemo)
+		if warm {
+			radios[1].SetDown(true)
+			radios[4].SetDown(true)
+			positions := make([]geom.Point, len(radios))
+			for i, r := range radios {
+				positions[i] = r.Pos()
+			}
+			m.Reset(NewTwoRay(914e6, 1.5, 1.5), positions)
+		}
+		sim.At(0, func() {
+			if m.nDown != 0 {
+				t.Fatalf("down count %d at transmit (warm=%v); the bulk copy is off", m.nDown, warm)
+			}
+			radios[0].Transmit("a", 100, des.Millisecond)
+			if got, want := m.txOf[0].touched, m.aud[0].rxID; !reflect.DeepEqual(got, want) {
+				t.Fatalf("transmission touched %v, audible set %v (warm=%v)", got, want, warm)
+			}
+		})
+		sim.At(300*des.Microsecond, func() { radios[5].Transmit("b", 100, des.Millisecond) })
+		sim.Run()
+		return recs
+	}
+	fresh, warm := run(false), run(true)
+	for i := range fresh {
+		if !reflect.DeepEqual(fresh[i], warm[i]) {
+			t.Fatalf("radio %d after Reset logged %+v, fresh medium %+v", i, *warm[i], *fresh[i])
 		}
 	}
 }

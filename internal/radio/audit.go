@@ -8,7 +8,9 @@ import (
 // AuditCoherence cross-checks the Medium's dense hot state — the radio
 // leg of the runtime auditor (Scenario.Audit). It verifies:
 //
-//   - every per-radio dense slice has one entry per attached radio;
+//   - every per-radio dense slice has one entry per attached radio,
+//     csThresh mirrors each radio's CsThreshW, and nDown counts the
+//     radios that are down;
 //   - txing[id] agrees with txOf[id], and the in-flight count matches;
 //   - each in-flight transmission's touched and rxPower are parallel and
 //     name only attached receivers;
@@ -27,7 +29,7 @@ func (m *Medium) AuditCoherence() error {
 		name string
 		len  int
 	}{
-		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"downs", len(m.downs)},
+		{"rfp", len(m.rfp)}, {"csThresh", len(m.csThresh)}, {"chans", len(m.chans)}, {"downs", len(m.downs)},
 		{"txing", len(m.txing)}, {"busys", len(m.busys)}, {"energy", len(m.energy)},
 		{"nlive", len(m.nlive)}, {"current", len(m.current)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
@@ -35,6 +37,19 @@ func (m *Medium) AuditCoherence() error {
 		if l.len != n {
 			return fmt.Errorf("radio: audit: %d radios but len(%s)=%d", n, l.name, l.len)
 		}
+	}
+
+	down := 0
+	for id := 0; id < n; id++ {
+		if m.downs[id] {
+			down++
+		}
+		if m.csThresh[id] != m.rfp[id].CsThreshW {
+			return fmt.Errorf("radio: audit: radio %d csThresh %g but CsThreshW %g", id, m.csThresh[id], m.rfp[id].CsThreshW)
+		}
+	}
+	if down != m.nDown {
+		return fmt.Errorf("radio: audit: %d radios down but nDown=%d", down, m.nDown)
 	}
 
 	inFlight := 0

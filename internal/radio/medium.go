@@ -39,7 +39,10 @@ func DefaultParams() Params {
 }
 
 // Listener is the upward interface of a Radio: the PHY/MAC entity attached
-// to it. All callbacks run on the simulation goroutine.
+// to it. All callbacks run on the simulation goroutine, from inside the
+// Medium's per-receiver loops: a callback may transmit, but must not
+// attach a radio or crash/recover one (the loops hold the dense state
+// slices and the crash count they started with).
 type Listener interface {
 	// RadioReceive delivers a frame whose airtime finished at this node.
 	// ok is false if the frame was corrupted by interference or by the
@@ -179,7 +182,10 @@ func (r *Radio) SetChannel(ch int) {
 // epoch counter bumped on any position change, retune, attach or reset.
 // Hot per-radio dynamic state (channel, down, transmitting, energy,
 // carrier, reception in progress) lives in dense per-ID slices on the
-// Medium, so the arrival loop never dereferences a *Radio.
+// Medium, so the arrival loop never dereferences a *Radio. Receivers that
+// can only gain or lose energy — transmitting, or idle and below the
+// decode threshold — are handled inside the loops themselves; only the
+// rest call out to the lock, corruption and delivery rules.
 //
 // Two slower tiers are retained for validation and same-process A/B
 // benchmarking, all bit-identical by construction and by test:
@@ -204,8 +210,10 @@ type Medium struct {
 	// Dense per-radio state, indexed by radio ID (struct-of-arrays so the
 	// arrival hot loop touches contiguous memory only).
 	rfp       []Params        // immutable RF parameters, copied at Attach
+	csThresh  []float64       // rfp[i].CsThreshW, dense for the carrier compare
 	chans     []int32         // current frequency channel
 	downs     []bool          // crashed (see SetDown)
+	nDown     int             // number of true entries in downs
 	txing     []bool          // own transmission in flight
 	busys     []bool          // last carrier state notified
 	energy    []float64       // aggregate power of ongoing foreign arrivals
@@ -331,6 +339,7 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	m.txInFlight, m.txInFlightHW = 0, 0
 	m.txPoolDrops = 0
 	m.audRebuilds = 0
+	m.nDown = 0
 	for i, r := range m.radios {
 		r.pos = positions[i]
 		m.chans[i] = 0
@@ -355,6 +364,7 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	}
 	m.radios = append(m.radios, r)
 	m.rfp = append(m.rfp, params)
+	m.csThresh = append(m.csThresh, params.CsThreshW)
 	m.chans = append(m.chans, 0)
 	m.downs = append(m.downs, false)
 	m.txing = append(m.txing, false)
@@ -625,6 +635,7 @@ func (r *Radio) SetDown(down bool) {
 	}
 	m.downs[id] = down
 	if down {
+		m.nDown++
 		m.current[id] = arrival{}
 		if t := m.txOf[id]; t != nil {
 			for _, rx := range t.touched {
@@ -637,13 +648,14 @@ func (r *Radio) SetDown(down bool) {
 		}
 		return
 	}
+	m.nDown--
 	if m.busys[id] && m.listeners[id] != nil {
 		m.listeners[id].RadioCarrier(true)
 	}
 }
 
 // CarrierBusy reports the current carrier-sense state (excluding own tx).
-func (r *Radio) CarrierBusy() bool { return r.m.energy[r.id] >= r.m.rfp[r.id].CsThreshW }
+func (r *Radio) CarrierBusy() bool { return r.m.energy[r.id] >= r.m.csThresh[r.id] }
 
 // Transmit puts a frame of the given size on the air for duration at the
 // radio's reference modulation. The caller (MAC) is responsible for
@@ -689,18 +701,41 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 
 	if m.memo && m.static && !m.reference {
 		// Memoised hot path: one contiguous pass over the precomputed
-		// audible set; only the crash flag is consulted live.
+		// audible set; only the crash flag is consulted live. With no
+		// radio down every member is touched, so the set is copied
+		// wholesale.
 		a := m.audible(r)
 		rxIDs, pows, refOK := a.rxID, a.power, a.refOK
-		downs := m.downs
+		bulk := m.nDown == 0
+		if bulk {
+			t.touched = append(t.touched, rxIDs...)
+			t.rxPower = append(t.rxPower, pows...)
+		}
+		downs, txing, current := m.downs, m.txing, m.current
+		nlive, energy, csThresh, busys := m.nlive, m.energy, m.csThresh, m.busys
 		for i, rid := range rxIDs {
-			if downs[rid] {
+			p := pows[i]
+			if !bulk {
+				if downs[rid] {
+					continue
+				}
+				t.touched = append(t.touched, rid)
+				t.rxPower = append(t.rxPower, p)
+			}
+			// arrivalStart's accounting, inline.
+			nlive[rid]++
+			e := energy[rid] + p
+			energy[rid] = e
+			// Energy only: a transmitting receiver decodes nothing, and an
+			// idle one below RxThreshW cannot lock at any rate, since
+			// snrScale >= 1 makes RxThreshW*snrScale >= RxThreshW > p.
+			if txing[rid] || (current[rid].t == nil && !refOK[i]) {
+				if b := e >= csThresh[rid]; b != busys[rid] {
+					m.carrierFlip(int(rid), b)
+				}
 				continue
 			}
-			p := pows[i]
-			t.touched = append(t.touched, rid)
-			t.rxPower = append(t.rxPower, p)
-			m.arrivalStart(int(rid), t, p, refOK[i])
+			m.arrivalDecide(int(rid), t, p, e, refOK[i])
 		}
 	} else {
 		// Indexed scan (memo off or fading channel) and exhaustive
@@ -738,10 +773,26 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 }
 
 // finish ends transmission t: concludes reception at every touched radio,
-// releases the sender and recycles t.
+// releases the sender and recycles t. Only a receiver locked onto t goes
+// through arrivalEnd's delivery path; every other one just loses t's
+// energy, inline. The reference tier calls arrivalEnd for every receiver.
 func (m *Medium) finish(t *transmission) {
-	for i, rx := range t.touched {
-		m.arrivalEnd(int(rx), t, t.rxPower[i])
+	if m.reference {
+		for i, rx := range t.touched {
+			m.arrivalEnd(int(rx), t, t.rxPower[i])
+		}
+	} else {
+		nlive, energy, csThresh, busys, current := m.nlive, m.energy, m.csThresh, m.busys, m.current
+		for i, rx := range t.touched {
+			p := t.rxPower[i]
+			if current[rx].t == t {
+				m.arrivalEnd(int(rx), t, p)
+				continue
+			}
+			if b := endEnergy(nlive, energy, rx, p) >= csThresh[rx]; b != busys[rx] {
+				m.carrierFlip(int(rx), b)
+			}
+		}
 	}
 	src := int(t.src)
 	payload := t.payload
@@ -762,7 +813,13 @@ func (m *Medium) arrivalStart(rx int, t *transmission, p float64, refOK bool) {
 	m.nlive[rx]++
 	e := m.energy[rx] + p
 	m.energy[rx] = e
+	m.arrivalDecide(rx, t, p, e, refOK)
+}
 
+// arrivalDecide is arrivalStart after the accounting: e is rx's energy
+// with the new frame included. It is the only definition of the lock and
+// corruption rules.
+func (m *Medium) arrivalDecide(rx int, t *transmission, p, e float64, refOK bool) {
 	switch {
 	case m.txing[rx]:
 		// Half-duplex: everything arriving during own tx is just energy.
@@ -799,17 +856,7 @@ func (m *Medium) arrivalStart(rx int, t *transmission, p float64, refOK bool) {
 // arrivalEnd removes the frame's energy at receiver rx and, if it was the
 // locked frame, delivers it upward.
 func (m *Medium) arrivalEnd(rx int, t *transmission, p float64) {
-	m.nlive[rx]--
-	if m.nlive[rx] == 0 {
-		m.energy[rx] = 0 // clamp accumulated floating-point drift
-	} else {
-		e := m.energy[rx] - p
-		if e < 0 {
-			e = 0
-		}
-		m.energy[rx] = e
-	}
-
+	endEnergy(m.nlive, m.energy, int32(rx), p)
 	if m.current[rx].t == t {
 		ok := !m.current[rx].corrupted && !m.txing[rx]
 		m.current[rx] = arrival{}
@@ -825,11 +872,27 @@ func (m *Medium) arrivalEnd(rx int, t *transmission, p float64) {
 	m.updateCarrier(rx)
 }
 
+// endEnergy removes one arrival of power p from receiver rx's count and
+// energy and returns the new energy.
+func endEnergy(nlive []int32, energy []float64, rx int32, p float64) float64 {
+	n := nlive[rx] - 1
+	nlive[rx] = n
+	e := 0.0 // the last arrival ending clamps accumulated float drift
+	if n != 0 {
+		e = energy[rx] - p
+		if e < 0 {
+			e = 0
+		}
+	}
+	energy[rx] = e
+	return e
+}
+
 // updateCarrier pushes carrier-sense transitions to the listener. The
-// no-transition case is the overwhelmingly common one and must inline into
-// the arrival paths; the flip itself is outlined.
+// per-receiver loops make the same compare inline for energy-only
+// receivers; the flip itself is outlined.
 func (m *Medium) updateCarrier(rx int) {
-	b := m.energy[rx] >= m.rfp[rx].CsThreshW
+	b := m.energy[rx] >= m.csThresh[rx]
 	if b != m.busys[rx] {
 		m.carrierFlip(rx, b)
 	}

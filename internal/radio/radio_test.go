@@ -383,6 +383,80 @@ func BenchmarkTransmit49Nodes(b *testing.B) {
 	}
 }
 
+// nopListener discards every callback without allocating.
+type nopListener struct{}
+
+func (nopListener) RadioReceive(any, int, bool) {}
+func (nopListener) RadioCarrier(bool)           {}
+func (nopListener) RadioTxDone(any)             {}
+
+// overlapStride spaces the transmissions of overlapDriver; frames last
+// four strides, so four are always in flight.
+const overlapStride = 500 * des.Microsecond
+
+// overlapDriver is a typed-event source that starts one transmission per
+// event, stepping through the radios 97 IDs at a time so concurrent
+// transmitters sit far apart on the grid. Receivers are therefore caught
+// mid-reception and mid-transmission.
+type overlapDriver struct {
+	sim    *des.Sim
+	radios []*Radio
+	next   int
+	left   int
+}
+
+func (d *overlapDriver) HandleEvent(int32, uint32) {
+	d.radios[d.next].Transmit(nil, 512, 4*overlapStride)
+	d.next = (d.next + 97) % len(d.radios)
+	if d.left--; d.left > 0 {
+		d.sim.ScheduleCall(overlapStride, d, 0, 0)
+	}
+}
+
+// run starts n transmissions and runs until the last one has ended.
+func (d *overlapDriver) run(n int) {
+	d.left = n
+	d.sim.ScheduleCall(0, d, 0, 0)
+	d.sim.Run()
+}
+
+// overlap225 builds the largen-static geometry — a 15×15 grid at Table R-1
+// spacing with default parameters — and warms it until every audible set
+// is built and the transmission pool and the event calendar's buckets
+// have reached their steady-state size.
+func overlap225() *overlapDriver {
+	sim := des.NewSim()
+	m := NewMedium(sim, NewTwoRay(914e6, 1.5, 1.5))
+	d := &overlapDriver{sim: sim}
+	for _, p := range geom.GridPlacement(geom.Square(15*(1000.0/7)), 15, 15) {
+		r := m.Attach(p, DefaultParams())
+		r.SetListener(nopListener{})
+		d.radios = append(d.radios, r)
+	}
+	d.run(8 * len(d.radios))
+	return d
+}
+
+// BenchmarkTransmitOverlap225 times TransmitRated plus arrival start/end
+// over the real 225-node audible sets: one op is one transmission with its
+// DES events, its ~220 arrival starts and ends, and its deliveries.
+func BenchmarkTransmitOverlap225(b *testing.B) {
+	d := overlap225()
+	b.ReportAllocs()
+	b.ResetTimer()
+	d.run(b.N)
+}
+
+// TestTransmitOverlap225ZeroAllocs pins the steady state of the benchmark
+// above: once audible sets and pools are warm, transmitting allocates
+// nothing.
+func TestTransmitOverlap225ZeroAllocs(t *testing.T) {
+	d := overlap225()
+	if avg := testing.AllocsPerRun(5, func() { d.run(100) }); avg != 0 {
+		t.Fatalf("%v allocations per 100 overlapping transmissions, want 0", avg)
+	}
+}
+
 func TestNakagamiUnitMean(t *testing.T) {
 	// Averaged over many coherence slots, the fading multiplier has unit
 	// mean: the long-run mean received power matches the base model.
